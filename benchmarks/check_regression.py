@@ -22,6 +22,12 @@ Absolute rounds/sec and tasks/sec numbers, the ``scaling`` rows, and the
 ``compute`` sweep modes (all of which depend on the runner's core count)
 are reported for context but never gated.
 
+Ratios cannot see a fixed cost that every mode pays alike, so a baseline
+may also carry absolute ``ceilings``: ``{"section.field": limit}`` pairs
+that fail when the current value exceeds the limit, whatever the
+threshold. ``baseline_sweep.json`` caps ``fabric.ms_per_task_zero_dwell``
+(the broker round trip of a zero-work task) this way.
+
 A cell fails when ``current < THRESHOLD * baseline`` (default 0.85x,
 override with ``--threshold``). Refresh the baseline by copying a
 freshly generated default-profile artifact over it::
@@ -143,7 +149,21 @@ def collect_checks(baseline: dict, current: dict) -> list[dict]:
                 }
             )
 
+    for name, ceiling in sorted((baseline.get("ceilings") or {}).items()):
+        section, _, field = name.partition(".")
+        value = (current.get(section) or {}).get(field)
+        if value is None:
+            checks.append({"name": name, "error": "value missing from current artifact"})
+            continue
+        checks.append({"name": name, "ceiling": ceiling, "current": value})
+
     return checks
+
+
+def _failed(check: dict, threshold: float) -> bool:
+    if "ceiling" in check:
+        return check["current"] > check["ceiling"]
+    return check["ratio"] < threshold
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -175,12 +195,12 @@ def main(argv: list[str] | None = None) -> int:
     checks = collect_checks(baseline, current)
     errors = [c for c in checks if "error" in c]
     notes = [c for c in checks if "note" in c]
-    gated = [c for c in checks if "ratio" in c]
+    gated = [c for c in checks if "ratio" in c or "ceiling" in c]
     if not gated and not errors:
         print("check_regression: no comparable ratios found", file=sys.stderr)
         return 2
 
-    failures = [c for c in gated if c["ratio"] < args.threshold]
+    failures = [c for c in gated if _failed(c, args.threshold)]
 
     width = max(len(c["name"]) for c in checks)
     print(f"{'cell':<{width}}  {'baseline':>8}  {'current':>8}  {'ratio':>6}  status")
@@ -191,7 +211,13 @@ def main(argv: list[str] | None = None) -> int:
         if "note" in c:
             print(f"{c['name']:<{width}}  {'-':>8}  {'-':>8}  {'-':>6}  note: {c['note']}")
             continue
-        status = "FAIL" if c["ratio"] < args.threshold else "ok"
+        status = "FAIL" if _failed(c, args.threshold) else "ok"
+        if "ceiling" in c:
+            print(
+                f"{c['name']:<{width}}  {'<=' + format(c['ceiling'], 'g'):>8}"
+                f"  {c['current']:>8.2f}  {'-':>6}  {status}"
+            )
+            continue
         print(
             f"{c['name']:<{width}}  {c['baseline']:>7.2f}x  {c['current']:>7.2f}x"
             f"  {c['ratio']:>5.2f}x  {status}"
@@ -206,13 +232,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if failures:
         print(
-            f"\ncheck_regression: {len(failures)} ratio(s) below "
-            f"{args.threshold:.2f}x of baseline.",
+            f"\ncheck_regression: {len(failures)} check(s) failed: ratios below "
+            f"{args.threshold:.2f}x of baseline or values above their ceiling.",
             file=sys.stderr,
         )
         return 1
     suffix = f" ({len(notes)} new cell(s) without a baseline)" if notes else ""
-    print(f"\ncheck_regression: all {len(gated)} ratios within {args.threshold:.2f}x.{suffix}")
+    print(
+        f"\ncheck_regression: all {len(gated)} checks hold "
+        f"(ratios within {args.threshold:.2f}x, ceilings met).{suffix}"
+    )
     return 0
 
 

@@ -656,6 +656,11 @@ def ablation_dchoice(profile: Profile) -> ExperimentResult:
     return result
 
 
+#: Per-order seed component of ``ablation_aging``. Fixed constants, so the
+#: CSV does not depend on the interpreter's string-hash salt.
+_AGING_ORDER_SEEDS = {"oldest": 41, "youngest": 68}
+
+
 def ablation_aging(profile: Profile) -> ExperimentResult:
     """Ablation: the oldest-first acceptance rule.
 
@@ -694,7 +699,7 @@ def ablation_aging(profile: Profile) -> ExperimentResult:
                 n=profile.n,
                 capacity=c,
                 lam=lam,
-                rng=_point_seed(profile, 130, used_exp, hash(order) % 97),
+                rng=_point_seed(profile, 130, used_exp, _AGING_ORDER_SEEDS[order]),
                 initial_pool=warm,
                 acceptance_order=order,
             )

@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--broker",
         default=None,
         metavar="HOST:PORT",
-        help="run the measure phase on a broker's worker fleet instead of "
-        "local processes (results stay bit-identical; see `repro broker`)",
+        help="run discovery and measurement on a broker's worker fleet instead "
+        "of local processes (results stay bit-identical; see `repro broker`)",
     )
     exp.add_argument(
         "--auth-token",
@@ -669,6 +669,9 @@ def _cmd_experiments(args, out) -> int:
         and args.cache_dir is None
     ):
         out.write("error: --checkpoint-every needs --checkpoint-dir or --cache-dir\n")
+        return 2
+    if args.broker is not None and args.jobs != 1:
+        out.write("error: --jobs has no effect with --broker (the fleet runs every task)\n")
         return 2
     if args.broker is not None and args.checkpoint_every is not None:
         out.write(

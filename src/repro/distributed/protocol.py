@@ -12,7 +12,8 @@ Frame vocabulary (the ``type`` key), by direction:
 worker → broker
     ``hello``      role="worker", worker id, protocol + code fingerprint;
                    optional ``slots`` = concurrent leases this process
-                   drives (``repro worker --jobs``)
+                   drives (``repro worker --jobs``); optional ``package``
+                   = whole-package fingerprint (discovery tasks)
     ``auth``       HMAC answer to a ``challenge`` (see :func:`auth_response`)
     ``lease``      request one task
     ``heartbeat``  the leased task ``key`` is still making progress;
@@ -45,9 +46,11 @@ broker → worker
     ``error``      protocol/auth/fingerprint rejection (connection closes)
 
 client → broker
-    ``hello``      role="client", run id, code fingerprint
+    ``hello``      role="client", run id, code fingerprint; optional
+                   ``package`` = whole-package fingerprint
     ``auth``       as for workers
-    ``submit``     batch of ``{"key", "payload"}`` tasks to execute; each
+    ``submit``     batch of ``{"key", "payload"}`` tasks to execute
+                   (measurement or discovery payloads); each
                    entry may carry an optional ``trace`` context
                    (``{"trace", "parent"}``) minted by the submitting run
 
@@ -71,11 +74,13 @@ still names this dialect; see ``docs/distributed.md`` for the field-level
 compatibility notes. The crash-recovery frames follow the same rule:
 ``challenge``/``auth`` only appear when both sides opt into a token,
 ``reattach`` is only sent by workers that survived a disconnect, and
-``slots``/``keys``/``generation`` are ignorable extras — an old peer and
-a new broker still interoperate (minus the new behaviours).
+``slots``/``keys``/``generation``/``package`` are ignorable extras — an
+old peer and a new broker still interoperate (minus the new behaviours;
+a worker that sends no ``package`` is simply never leased discovery).
 
 Delivery contract: **at-least-once**. Task keys are content-addressed
-digests (:func:`repro.parallel.keys.task_digest`), so re-executing a
+digests (:func:`repro.parallel.keys.task_digest` for measurements,
+:func:`repro.parallel.keys.discovery_digest` for discovery), so re-executing a
 re-leased task is idempotent — the first ``complete`` for a key wins and
 any later duplicate is acknowledged and discarded.
 
@@ -204,9 +209,14 @@ def connect_broker(
     signed the broker's ``--tls-cert``. Chain verification stays on;
     hostname checking is off — fleets address brokers by IP/port from a
     port file, and the shared CA (plus ``--auth-token``) is the identity
-    claim, not a DNS name.
+    claim, not a DNS name. ``TCP_NODELAY`` is always set; the broker's
+    asyncio transports set it on their side.
     """
     sock = socket.create_connection((host, port), timeout=timeout)
+    # Frames are small and request/response shaped (a worker's ``lease``
+    # follows its ``complete``): with Nagle on, the second frame waits for
+    # the peer's delayed ACK, about 40 ms per task.
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     if tls_ca is not None:
         import ssl
 

@@ -22,9 +22,10 @@ that finished while the link was down. SIGTERM is gentler still — a
 bounded final-upload window drains finished results before exit instead
 of abandoning them to re-lease.
 
-Tasks execute through the exact same entry point as the process-pool
-runner (:func:`repro.parallel.tasks.execute_task`), so a distributed
-sweep's outcome payloads are byte-identical to a local run's.
+Tasks execute through the exact same entry points as the process-pool
+runner (:func:`repro.parallel.tasks.execute_task` for measurements,
+:func:`repro.parallel.tasks.discover_experiment` for discovery), so a
+distributed sweep's outcome payloads are byte-identical to a local run's.
 
 Thread layout: the main thread owns the socket (all receives, all
 sends); slot threads only compute and hand finished frames to an outbox
@@ -165,7 +166,8 @@ class Worker:
         own trace-span origin.
     exit_when_idle:
         Leave once the broker reports its queue drained (work was
-        submitted and everything resolved) — the benchmark/CI mode.
+        submitted, everything resolved, and no client is still
+        connected) — the benchmark/CI mode.
         Without it the worker polls forever, spot-fleet style.
     poll:
         Idle backoff between lease requests with an empty queue.
@@ -183,8 +185,9 @@ class Worker:
         Seconds SIGTERM waits for finished results to upload before the
         process exits (still-running slots are abandoned to re-lease).
     task_fn:
-        Execution hook (tests override it); defaults to
-        :func:`repro.parallel.tasks.execute_task`.
+        Measurement execution hook (tests override it); defaults to
+        :func:`repro.parallel.tasks.execute_task`. Discovery payloads
+        always run :func:`repro.parallel.tasks.discover_experiment`.
     telemetry:
         Keep a private :class:`~repro.telemetry.registry.MetricsRegistry`
         of task counts/latencies and piggyback compressed snapshots on
@@ -284,15 +287,17 @@ class Worker:
             return list(self._held)
 
     def _execute(self, payload: dict[str, Any]) -> dict[str, Any]:
+        from repro.parallel import tasks
+
+        if tasks.is_discovery(payload):
+            return tasks.discover_experiment(payload)
         if self.task_fn is not None:
             return self.task_fn(payload)
-        from repro.parallel.tasks import execute_task
-
-        return execute_task(payload)
+        return tasks.execute_task(payload)
 
     def _start_slot(self, frame: dict[str, Any]) -> None:
         """Launch one compute thread for a freshly leased task."""
-        from repro.parallel.tasks import TaskSpec
+        from repro.parallel.tasks import is_discovery, payload_label
 
         key = frame["key"]
         payload = dict(frame["payload"])
@@ -308,14 +313,14 @@ class Worker:
             payload["trace"] = dict(
                 frame["trace"], origin=f"{self.worker_id}/s{self._slot_serial}"
             )
-        spec = TaskSpec.from_payload(payload)
-        label = spec.label
+        label = payload_label(payload)
+        kind = "discover" if is_discovery(payload) else str(payload["kind"])
         with self._held_lock:
             self._held[key] = label
             self._abandoned.discard(key)
         self._say(f"leased {label}")
         threading.Thread(
-            target=self._slot_main, args=(key, payload, label, spec.kind), daemon=True
+            target=self._slot_main, args=(key, payload, label, kind), daemon=True
         ).start()
 
     def _slot_main(self, key: str, payload: dict[str, Any], label: str, kind: str) -> None:
@@ -442,7 +447,7 @@ class Worker:
             self._say(f"reattached {len(adopted)} lease(s)")
 
     def _connect(self) -> tuple[socket.socket, dict[str, Any]]:
-        from repro.parallel.keys import measurement_fingerprint
+        from repro.parallel.keys import measurement_fingerprint, package_fingerprint
 
         sock = connect_broker(self.host, self.port, tls_ca=self.tls_ca)
         try:
@@ -454,6 +459,7 @@ class Worker:
                     "protocol": PROTOCOL,
                     "worker": self.worker_id,
                     "code": measurement_fingerprint(),
+                    "package": package_fingerprint(),
                     "pid": os.getpid(),
                     "slots": self.jobs,
                 },

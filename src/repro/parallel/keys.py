@@ -21,6 +21,7 @@ __all__ = [
     "point_key",
     "task_digest",
     "experiment_digest",
+    "discovery_digest",
     "measurement_fingerprint",
     "package_fingerprint",
 ]
@@ -102,3 +103,12 @@ def experiment_digest(experiment_id: str, profile: dict[str, Any]) -> str:
             "code": package_fingerprint(),
         }
     )
+
+
+def discovery_digest(experiment_id: str, profile: dict[str, Any]) -> str:
+    """Content address of one experiment's discovery run (its plan).
+
+    Distinct from :func:`experiment_digest`, which keys the finished
+    result, so a discovery bundle never collides with a cache entry.
+    """
+    return _digest({"discover": experiment_digest(experiment_id, profile)})

@@ -10,6 +10,10 @@ Two task shapes cross the process boundary:
   driver experiments such as ``dominance`` or the ablations) execute for
   real during discovery, so their full cost also lands on a worker; their
   finished result is returned directly.
+
+:func:`payload_key` and :func:`payload_label` tell the two shapes apart
+(a discovery payload carries ``experiment_id``), so the pool, the broker
+client and fleet workers can carry either.
 """
 
 from __future__ import annotations
@@ -22,12 +26,15 @@ from typing import Any
 from repro.errors import ParallelExecutionError
 from repro.faults.chaos import maybe_chaos
 from repro.parallel.context import RecordingContext, use_context
-from repro.parallel.keys import point_key, task_digest
+from repro.parallel.keys import discovery_digest, point_key, task_digest
 
 __all__ = [
     "TaskSpec",
     "execute_task",
     "discover_experiment",
+    "is_discovery",
+    "payload_key",
+    "payload_label",
     "profile_payload",
     "result_payload",
     "result_from_payload",
@@ -72,6 +79,25 @@ class TaskSpec:
             params=dict(payload["params"]),
             replicate=int(payload["replicate"]),
         )
+
+
+def is_discovery(payload: dict[str, Any]) -> bool:
+    """True for a :func:`discover_experiment` payload, False for a measurement."""
+    return "experiment_id" in payload
+
+
+def payload_key(payload: dict[str, Any]) -> str:
+    """Content address of either task shape."""
+    if is_discovery(payload):
+        return discovery_digest(payload["experiment_id"], payload["profile"])
+    return TaskSpec.from_payload(payload).digest
+
+
+def payload_label(payload: dict[str, Any]) -> str:
+    """Display label of either task shape."""
+    if is_discovery(payload):
+        return f"discover:{payload['experiment_id']}"
+    return TaskSpec.from_payload(payload).label
 
 
 def execute_task(payload: dict[str, Any]) -> dict[str, Any]:

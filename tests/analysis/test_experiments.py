@@ -102,3 +102,36 @@ class TestTinyRuns:
     def test_meanfield_validation_tiny(self):
         result = run_experiment("meanfield_validation", TINY)
         assert {row["c"] for row in result.rows} == {1, 2, 4}
+
+
+class TestHashSeedIndependence:
+    def test_ablation_aging_csv_ignores_the_string_hash_salt(self):
+        # Discovery may run in any process (a pool worker, a fleet worker),
+        # each with its own string-hash salt: the CSV must not depend on it.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "from repro.analysis.experiments import Profile, run_experiment\n"
+            "profile = Profile(name='tiny', n=128, measure=20, replicates=1)\n"
+            "print(run_experiment('ablation_aging', profile).csv())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for salt in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=salt, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("order,lambda_exp,")

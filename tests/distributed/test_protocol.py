@@ -11,6 +11,7 @@ import pytest
 
 from repro.distributed.protocol import (
     MAX_FRAME_BYTES,
+    connect_broker,
     encode_frame,
     read_frame_async,
     recv_frame,
@@ -93,6 +94,21 @@ class TestBlockingCodec:
             recv_frame(b)
         a.close()
         b.close()
+
+
+class TestConnectBroker:
+    def test_sets_tcp_nodelay(self):
+        # Without it a worker's lease frame, sent right after its complete
+        # frame, waits out the broker's delayed ACK (~40 ms per task).
+        listener = socket.create_server(("127.0.0.1", 0))
+        try:
+            sock = connect_broker("127.0.0.1", listener.getsockname()[1])
+            try:
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+            finally:
+                sock.close()
+        finally:
+            listener.close()
 
 
 class TestAsyncCodec:

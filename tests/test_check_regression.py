@@ -142,6 +142,45 @@ class TestSweepArtifact:
         ]
 
 
+class TestCeilings:
+    """Absolute ceilings: a fixed per-task cost that no ratio can see."""
+
+    @staticmethod
+    def with_zero_dwell(artifact_dict, ms=None, ceiling=None):
+        if ms is not None:
+            artifact_dict["fabric"]["ms_per_task_zero_dwell"] = ms
+        if ceiling is not None:
+            artifact_dict["ceilings"] = {"fabric.ms_per_task_zero_dwell": ceiling}
+        return artifact_dict
+
+    def test_value_under_ceiling_passes(self, tmp_path, capsys):
+        baseline = self.with_zero_dwell(sweep_artifact(), ceiling=5.0)
+        current = self.with_zero_dwell(sweep_artifact(), ms=1.4)
+        assert run(tmp_path, baseline, current) == 0
+        assert "fabric.ms_per_task_zero_dwell" in capsys.readouterr().out
+
+    def test_value_over_ceiling_fails_even_with_equal_ratios(self, tmp_path):
+        # The pre-NODELAY fabric: every ratio as before, 44 ms per task.
+        baseline = self.with_zero_dwell(sweep_artifact(), ceiling=5.0)
+        current = self.with_zero_dwell(sweep_artifact(), ms=44.0)
+        assert run(tmp_path, baseline, current) == 1
+
+    def test_ceiling_ignores_the_ratio_threshold(self, tmp_path):
+        baseline = self.with_zero_dwell(sweep_artifact(), ceiling=5.0)
+        current = self.with_zero_dwell(sweep_artifact(), ms=5.5)
+        assert run(tmp_path, baseline, current, threshold=0.01) == 1
+
+    def test_value_missing_from_current_is_error(self, tmp_path):
+        baseline = self.with_zero_dwell(sweep_artifact(), ceiling=5.0)
+        assert run(tmp_path, baseline, sweep_artifact()) == 2
+
+    def test_committed_sweep_baseline_caps_zero_dwell(self):
+        import json
+
+        committed = json.loads((SCRIPT.parent / "baseline_sweep.json").read_text())
+        assert committed["ceilings"]["fabric.ms_per_task_zero_dwell"] <= 5.0
+
+
 class TestCollectChecks:
     def test_ratio_records(self):
         checks = check_regression.collect_checks(

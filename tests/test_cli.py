@@ -610,6 +610,14 @@ class TestDistributedCli:
         assert code == 2
         assert "broker-side knob" in text
 
+    def test_experiments_broker_rejects_jobs(self):
+        code, text = run_cli(
+            "experiments", "--id", "fig4_left", "--broker", "127.0.0.1:7070", "--jobs", "2"
+        )
+        assert code == 2
+        assert text.count("\n") == 1
+        assert "--jobs has no effect with --broker" in text
+
     def test_broker_checkpoint_every_needs_dir(self):
         code, text = run_cli("broker", "--checkpoint-every", "10")
         assert code == 2
