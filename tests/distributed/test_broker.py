@@ -37,8 +37,9 @@ def stub_result(payload: dict) -> dict:
 def collect(client: BrokerClient, payloads: list[dict]) -> dict[str, object]:
     """Drain run_tasks into {digest: bundle-or-failure}."""
     results = {}
-    for payload, bundle in client.run_tasks(payloads):
-        results[TaskSpec.from_payload(payload).digest] = bundle
+    with client:
+        for payload, bundle in client.run_tasks(payloads):
+            results[TaskSpec.from_payload(payload).digest] = bundle
     return results
 
 
@@ -210,8 +211,7 @@ class TestReLease:
         results: dict[str, object] = {}
 
         def drive():
-            for payload, bundle in client.run_tasks(payloads):
-                results[TaskSpec.from_payload(payload).digest] = bundle
+            results.update(collect(client, payloads))
 
         thread = threading.Thread(target=drive, daemon=True)
         thread.start()
@@ -300,8 +300,7 @@ class TestFingerprintSafety:
         results: dict[str, object] = {}
 
         def drive():
-            for p, b in client.run_tasks([payload]):
-                results[TaskSpec.from_payload(p).digest] = b
+            results.update(collect(client, [payload]))
 
         driver = threading.Thread(target=drive, daemon=True)
         driver.start()

@@ -46,8 +46,9 @@ def stub_result(payload: dict) -> dict:
 
 def collect(client: BrokerClient, payloads: list[dict]) -> dict[str, object]:
     results = {}
-    for payload, bundle in client.run_tasks(payloads):
-        results[TaskSpec.from_payload(payload).digest] = bundle
+    with client:
+        for payload, bundle in client.run_tasks(payloads):
+            results[TaskSpec.from_payload(payload).digest] = bundle
     return results
 
 
