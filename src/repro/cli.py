@@ -61,20 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--cold-start", action="store_true", help="start from an empty system")
     sim.add_argument(
-        "--batch-replicates",
-        action="store_true",
-        help="run all replicates in one batched kernel (capped only; "
-        "bit-identical outcomes, one kernel pass per round)",
-    )
-    sim.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition each simulation's bins across this many worker "
-        "processes (capped with finite --c only; one simulation uses "
-        "the whole machine)",
-    )
-    sim.add_argument(
         "--process",
         choices=("capped", "greedy"),
         default="capped",
@@ -87,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="chaos scenario: a JSON file path or inline JSON with "
         "'faults', 'churn', and/or 'autoscaling' schedules "
-        "(capped only; incompatible with --shards/--batch-replicates)",
+        "(capped only)",
     )
     sim.add_argument(
         "--telemetry-dir",
@@ -514,19 +500,8 @@ def _cmd_list(out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    if args.process == "greedy" and args.batch_replicates:
-        out.write("error: --batch-replicates only applies to --process capped\n")
-        return 2
-    if args.shards < 1:
-        out.write("error: --shards must be at least 1\n")
-        return 2
-    if args.shards > 1:
-        if args.process != "capped" or args.c is None:
-            out.write("error: --shards needs --process capped with a finite --c\n")
-            return 2
-        if args.batch_replicates:
-            out.write("error: --shards and --batch-replicates are mutually exclusive\n")
-            return 2
+    from repro.errors import ConfigurationError
+
     if args.checkpoint_every is not None and args.checkpoint_dir is None:
         out.write("error: --checkpoint-every needs --checkpoint-dir\n")
         return 2
@@ -534,27 +509,24 @@ def _cmd_simulate(args, out) -> int:
         if args.process != "capped":
             out.write("error: --scenario only applies to --process capped\n")
             return 2
-        if args.shards > 1:
-            out.write("error: --scenario and --shards are mutually exclusive\n")
-            return 2
-        if args.batch_replicates:
-            out.write("error: --scenario and --batch-replicates are mutually exclusive\n")
-            return 2
         try:
             # Parse and validate eagerly so a typo'd scenario is a clean
             # configuration error, not a traceback mid-run.
             from repro.churn import scenario_from_dict
-            from repro.errors import ConfigurationError
 
             scenario_from_dict(_load_scenario(args.scenario))
         except (OSError, ValueError, ConfigurationError) as err:
             out.write(f"error: {err}\n")
             return 2
-    if args.telemetry_dir is None:
-        return _run_simulate(args, out)
-    extras: dict[str, Any] = {}
-    with _telemetry_capture(args.telemetry_dir, _args_config(args), [args.seed], extras):
-        status = _run_simulate(args, out, extras)
+    try:
+        if args.telemetry_dir is None:
+            return _run_simulate(args, out)
+        extras: dict[str, Any] = {}
+        with _telemetry_capture(args.telemetry_dir, _args_config(args), [args.seed], extras):
+            status = _run_simulate(args, out, extras)
+    except ConfigurationError as err:
+        out.write(f"error: {err}\n")
+        return 2
     out.write(f"telemetry written to {args.telemetry_dir}\n")
     return status
 
@@ -612,10 +584,8 @@ def _measure_simulate(args, out) -> int:
             seed=args.seed,
             warm_start=not args.cold_start,
             burn_in=args.burn_in,
-            batch_replicates=args.batch_replicates,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
-            shards=args.shards,
             scenario=None if args.scenario is None else _load_scenario(args.scenario),
         )
     for key, value in point.row().items():

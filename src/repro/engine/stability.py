@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 __all__ = ["default_burn_in", "is_stationary", "split_drift"]
 
 
@@ -48,11 +50,11 @@ def default_burn_in(
     term is dropped and only a short settling window is kept.
     """
     if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lambda must lie in [0, 1), got {lam}")
+        raise ConfigurationError(f"lambda must lie in [0, 1), got {lam}")
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise ConfigurationError(f"need n >= 2, got {n}")
     if c < 1:
-        raise ValueError(f"capacity must be >= 1, got {c}")
+        raise ConfigurationError(f"capacity must be >= 1, got {c}")
     wait_scale = (
         4.0 * math.log(1.0 / (1.0 - lam)) / (c * (1.0 - 1.0 / math.e))
         + math.log2(max(2.0, math.log2(n)))

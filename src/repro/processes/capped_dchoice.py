@@ -121,15 +121,11 @@ class CappedDChoiceProcess:
             committed,
             counts,
             t - labels,
-            sort_runs=False,
-            need_runs=False,
         )
         if resolved.accepted_total:
             self.bins.commit_accepted(resolved.accepted_per_key, resolved.accepted_total)
             self.pool.remove_bulk(resolved.accepted_per_bucket)
-        if resolved.wait_hist is not None:
-            return resolved.accepted_total, *resolved.wait_hist
-        return resolved.accepted_total, *_wait_histogram(resolved.waits)
+        return resolved.accepted_total, *resolved.wait_hist
 
     def _resolve_legacy(self, t: int) -> tuple[int, np.ndarray]:
         """The original per-bucket sweep — the executable reference.

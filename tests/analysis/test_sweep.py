@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.sweep import measure_capped, measure_greedy
+from repro.errors import ConfigurationError
 
 
 class TestMeasureCapped:
@@ -61,3 +62,16 @@ class TestMeasureGreedy:
         a = measure_greedy(n=128, d=1, lam=0.5, measure=50, seed=5)
         b = measure_greedy(n=128, d=1, lam=0.5, measure=50, seed=5)
         assert a.avg_wait == b.avg_wait
+
+
+@pytest.mark.parametrize(
+    "measure_point",
+    [
+        lambda: measure_capped(n=128, c=1, lam=0.5, measure=50, replicates=0),
+        lambda: measure_greedy(n=128, d=1, lam=0.5, measure=50, replicates=0),
+    ],
+    ids=["capped", "greedy"],
+)
+def test_zero_replicates_rejected(measure_point):
+    with pytest.raises(ConfigurationError, match="replicate"):
+        measure_point()

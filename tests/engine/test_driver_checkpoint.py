@@ -16,9 +16,7 @@ from repro.engine.observers import TraceRecorder
 from repro.errors import CheckpointIncompatible, ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import CapacityDegradation, FaultSchedule, StochasticCrashes
-from repro.kernels.batched import BatchedCappedProcess
 from repro.processes.capped_dchoice import CappedDChoiceProcess
-from repro.rng import RngFactory
 
 
 class KillAt:
@@ -37,8 +35,7 @@ class KillAt:
 
     def step(self):
         record = self._process.step()
-        records = record if isinstance(record, list) else [record]
-        if records[0].round == self._at_round:
+        if record.round == self._at_round:
             raise KeyboardInterrupt
         return record
 
@@ -194,30 +191,6 @@ class TestFaultScheduleKillResume:
         assert injector.crashes + injector.recoveries > 0
 
 
-class TestBatchedKillResume:
-    def test_bit_identical_per_replicate(self, tmp_path):
-        def make():
-            rngs = [RngFactory(3).child(r).generator("capped") for r in range(3)]
-            return BatchedCappedProcess(n=48, capacity=2, lam=0.75, rngs=rngs)
-
-        reference = SimulationDriver(burn_in=10, measure=20).run_batched(make())
-
-        driver = SimulationDriver(
-            burn_in=10, measure=20, checkpoint_dir=tmp_path, checkpoint_every=4
-        )
-        with pytest.raises(KeyboardInterrupt):
-            driver.run_batched(KillAt(make(), 23))
-
-        resumed = SimulationDriver(
-            burn_in=10, measure=20, checkpoint_dir=tmp_path, checkpoint_every=4
-        )
-        results = resumed.run_batched(make())
-        assert resumed.last_restore is not None
-        assert len(results) == len(reference)
-        for got, want in zip(results, reference):
-            assert result_key(got) == result_key(want)
-
-
 class TestCorruptionFallback:
     def test_corrupt_newest_falls_back_to_previous(self, tmp_path):
         def make():
@@ -265,6 +238,35 @@ class TestRestoreValidation:
         other = SimulationDriver(burn_in=5, measure=10, checkpoint_dir=tmp_path, checkpoint_every=2)
         with pytest.raises(CheckpointIncompatible, match="n "):
             other.run(CappedProcess(n=64, capacity=2, lam=0.75, rng=1))
+        # Same n, another engine: the class tag is what refuses it.
+        with pytest.raises(CheckpointIncompatible, match="process class"):
+            other.run(CappedDChoiceProcess(n=32, capacity=2, lam=0.75, d=2, rng=1))
+
+    def test_snapshot_with_batched_field_still_resumes(self, tmp_path):
+        # Snapshots written while SimulationDriver still had a batched
+        # path carry ``"batched": false`` in their "driver" section; they
+        # must keep resuming bit-identically.
+        class OldFormatDriver(SimulationDriver):
+            def _snapshot_payload(self, *args, **kwargs):
+                payload = super()._snapshot_payload(*args, **kwargs)
+                payload["driver"]["batched"] = False
+                return payload
+
+        def make():
+            return CappedProcess(n=64, capacity=2, lam=0.75, rng=5)
+
+        reference = SimulationDriver(burn_in=10, measure=20).run(make())
+        old = OldFormatDriver(burn_in=10, measure=20, checkpoint_dir=tmp_path, checkpoint_every=4)
+        with pytest.raises(KeyboardInterrupt):
+            old.run(KillAt(make(), 23))
+        assert CheckpointStore(tmp_path).load_latest().payload["driver"]["batched"] is False
+
+        resumed = SimulationDriver(
+            burn_in=10, measure=20, checkpoint_dir=tmp_path, checkpoint_every=4
+        )
+        result = resumed.run(make())
+        assert resumed.last_restore is not None
+        assert result_key(result) == result_key(reference)
 
     def test_cadence_requires_directory(self):
         with pytest.raises(ConfigurationError, match="checkpoint_dir"):

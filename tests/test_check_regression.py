@@ -125,7 +125,7 @@ class TestSweepArtifact:
 
     def test_compute_modes_never_gate(self, tmp_path):
         # The compute section is core-count dependent, like the engine
-        # artifact's scaling rows: a slower broker-4w must not fail.
+        # artifact's absolute rounds/sec: a slower broker-4w must not fail.
         current = sweep_artifact()
         current["compute"]["broker_4w"] = 0.1
         assert run(tmp_path, sweep_artifact(), current) == 0

@@ -80,29 +80,19 @@ class TestSimulate:
         assert code == 0
         assert "avg_wait" in text
 
-    def test_sharded_point(self):
-        code, text = run_cli(
-            "simulate",
-            "--n",
-            "256",
-            "--c",
-            "2",
-            "--lam",
-            "0.75",
-            "--rounds",
-            "40",
-            "--shards",
-            "2",
-        )
-        assert code == 0
-        assert "pool/n" in text
-
-    def test_shards_require_finite_capacity(self):
-        code, text = run_cli("simulate", "--lam", "0.75", "--shards", "2")
-        assert code == 2
-        assert "finite --c" in text
-
-    def test_shards_exclude_batch_replicates(self):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--lam", "1.5"],
+            ["--n", "0"],
+            ["--c", "0"],
+            ["--rounds", "0"],
+            ["--replicates", "0"],
+            ["--checkpoint-every", "0"],
+        ],
+        ids=lambda bad: bad[0].lstrip("-"),
+    )
+    def test_bad_input_is_a_usage_error(self, bad, tmp_path, capsys):
         code, text = run_cli(
             "simulate",
             "--n",
@@ -111,17 +101,15 @@ class TestSimulate:
             "2",
             "--lam",
             "0.75",
-            "--shards",
-            "2",
-            "--batch-replicates",
+            "--rounds",
+            "20",
+            "--checkpoint-dir",
+            str(tmp_path),
+            *bad,
         )
         assert code == 2
-        assert "mutually exclusive" in text
-
-    def test_shards_reject_greedy(self):
-        code, text = run_cli("simulate", "--process", "greedy", "--lam", "0.75", "--shards", "2")
-        assert code == 2
-        assert "--process capped" in text
+        assert text.startswith("error: ") and text.count("\n") == 1
+        assert "Traceback" not in text + capsys.readouterr().err
 
 
 class TestExperiments:
@@ -528,39 +516,6 @@ class TestSimulateScenario:
         )
         assert code == 2
         assert "--process capped" in text
-
-    def test_scenario_excludes_shards(self):
-        code, text = run_cli(
-            "simulate",
-            "--n",
-            "64",
-            "--c",
-            "2",
-            "--lam",
-            "0.75",
-            "--shards",
-            "2",
-            "--scenario",
-            self.SCENARIO,
-        )
-        assert code == 2
-        assert "mutually exclusive" in text
-
-    def test_scenario_excludes_batch_replicates(self):
-        code, text = run_cli(
-            "simulate",
-            "--n",
-            "64",
-            "--c",
-            "2",
-            "--lam",
-            "0.75",
-            "--batch-replicates",
-            "--scenario",
-            self.SCENARIO,
-        )
-        assert code == 2
-        assert "mutually exclusive" in text
 
     def test_bad_scenario_json_is_config_error(self):
         code, text = run_cli(
