@@ -677,8 +677,9 @@ def _run_experiments_cmd(args, out, extras: dict[str, Any] | None = None) -> int
 
     ids = sorted(EXPERIMENTS) if args.all else [args.id]
     # --live-status rides on the parallel runner's progress reporter, so it
-    # engages the runner even for a plain serial run (--cprofile likewise:
-    # per-task profiling happens inside the runner's task wrapper).
+    # engages the runner even for a plain serial run (--cprofile and
+    # --timing likewise: per-task profiling and timing happen inside the
+    # runner's task wrapper).
     use_runner = (
         args.jobs != 1
         or args.resume
@@ -687,6 +688,7 @@ def _run_experiments_cmd(args, out, extras: dict[str, Any] | None = None) -> int
         or args.checkpoint_every is not None
         or args.broker is not None
         or args.cprofile
+        or args.timing
     )
     report = None
     errors: dict[str, str] = {}

@@ -35,6 +35,12 @@ Two implementations are provided:
 
 ``capacity=None`` gives unbounded bins: CAPPED(∞, λ) ≡ GREEDY[1] of
 [Berenbrink et al., PODC'16] (paper Section II).
+
+``d > 1`` gives every thrown ball ``d`` probes and sends it to the least
+loaded of them, judged on the loads at the start of the round (batch
+semantics, as in GREEDY[d]) — the capacity-vs-choices ablation of
+:mod:`repro.processes.capped_dchoice`. Acceptance and FIFO deletion are
+unchanged.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from repro.engine.metrics import RoundRecord
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.kernels.round import positional_waits as _positional_waits
 from repro.kernels.round import (
+    least_loaded,
     resolve_capped_round,
     resolve_capped_round_serial,
     wait_histogram as _wait_histogram,
@@ -99,6 +106,12 @@ class CappedProcess:
         pass; ``"legacy"`` is the original per-bucket sweep, kept as the
         executable reference. Both consume the RNG identically and emit
         identical :class:`RoundRecord` sequences for the same seed.
+    d:
+        Probes per thrown ball; the ball commits to the least loaded probe
+        (start-of-round loads, ties to the first probe). ``d > 1`` needs a
+        finite ``capacity`` — with unbounded bins it is GREEDY[d]. Both
+        kernels draw the probes row-major, ``(thrown, d)`` in one block or
+        ``(count_b, d)`` per bucket, so they stay bit-identical.
 
     Examples
     --------
@@ -107,6 +120,9 @@ class CappedProcess:
     >>> record.arrivals
     48
     """
+
+    #: Name of the :class:`~repro.rng.RngFactory` stream seeds resolve to.
+    rng_stream = "capped"
 
     def __init__(
         self,
@@ -118,9 +134,14 @@ class CappedProcess:
         initial_pool: int = 0,
         acceptance_order: str = "oldest",
         kernel: str = "fused",
+        d: int = 1,
     ) -> None:
         if n < 1:
             raise ConfigurationError(f"need at least one bin, got n={n}")
+        if d < 1:
+            raise ConfigurationError(f"need at least one probe, got d={d}")
+        if d > 1 and capacity is None:
+            raise ConfigurationError(f"d={d} probes need a finite capacity")
         if initial_pool < 0:
             raise ConfigurationError(f"initial_pool must be non-negative, got {initial_pool}")
         if acceptance_order not in ("oldest", "youngest"):
@@ -139,7 +160,8 @@ class CappedProcess:
         self.lam = lam
         self.acceptance_order = acceptance_order
         self.kernel = kernel
-        self.rng = resolve_rng(rng, "capped")
+        self.d = d
+        self.rng = resolve_rng(rng, self.rng_stream)
         self.arrivals = arrivals if arrivals is not None else DeterministicArrivals(n=n, lam=lam)
         self.pool = AgePool()
         if initial_pool:
@@ -226,12 +248,13 @@ class CappedProcess:
         Parameters
         ----------
         choices:
-            Optional pre-drawn bin choices, one per thrown ball, ordered
-            oldest ball first (new balls last). Used by the coupling and
-            by deterministic tests; when omitted, choices are drawn from
-            the process RNG (one draw per round in the fused kernel, one
-            per age bucket in the legacy kernel — bit-identical streams,
-            see ``docs/kernels.md``).
+            Optional pre-drawn bin choices, one committed bin per thrown
+            ball (no probing, whatever ``d``), ordered oldest ball first
+            (new balls last). Used by the coupling and by deterministic
+            tests; when omitted, choices are drawn from the process RNG
+            (one draw per round in the fused kernel, one per age bucket in
+            the legacy kernel — bit-identical streams, see
+            ``docs/kernels.md``).
         """
         self.round += 1
         t = self.round
@@ -287,8 +310,8 @@ class CappedProcess:
             clock.finish()
         return record
 
-    def _draw_choices(self, thrown: int) -> np.ndarray:
-        """Bin choices for this round, served from the prefetch buffer.
+    def _draw_choices(self, count: int) -> np.ndarray:
+        """The round's ``thrown·d`` probes, served from the prefetch buffer.
 
         Returns a view into the current block when it has enough words
         left; otherwise drains the remainder, generates a fresh block
@@ -299,19 +322,19 @@ class CappedProcess:
         bit-identically.
         """
         if not self._buffer_draws:
-            return self.rng.integers(0, self.n, size=thrown)
+            return self.rng.integers(0, self.n, size=count)
         buf, pos = self._choice_buf, self._choice_pos
         avail = buf.size - pos if buf is not None else 0
-        if avail >= thrown:
-            if buf is None:  # thrown == 0 before the first block exists
+        if avail >= count:
+            if buf is None:  # count == 0 before the first block exists
                 return self.rng.integers(0, self.n, size=0)
-            self._choice_pos = pos + thrown
-            return buf[pos : pos + thrown]
+            self._choice_pos = pos + count
+            return buf[pos : pos + count]
         leftover = buf[pos:] if avail else None
-        need = thrown - avail
+        need = count - avail
         # ~4 rounds per block, clamped so huge-n runs don't hold tens of
         # megabytes of unspent randomness.
-        block = max(min(max(4 * thrown, 1 << 14), 1 << 21), need)
+        block = max(min(max(4 * count, 1 << 14), 1 << 21), need)
         self._choice_base = self.rng.bit_generator.state
         fresh = self.rng.integers(0, self.n, size=block)
         self._choice_buf = fresh
@@ -341,7 +364,9 @@ class CappedProcess:
         accept phase.
         """
         if choices is None:
-            choices = self._draw_choices(thrown)
+            choices = self._draw_choices(thrown * self.d)
+            if self.d > 1:
+                choices = least_loaded(choices.reshape(thrown, self.d), self.bins.loads)
         else:
             choices = np.asarray(choices, dtype=np.int64)
         if clock is not None:
@@ -425,7 +450,8 @@ class CappedProcess:
         offset = 0
         for label, count in list(self.pool.buckets()):
             if choices is None:
-                bucket_choices = self.rng.integers(0, self.n, size=count)
+                probes = self.rng.integers(0, self.n, size=(count, self.d))
+                bucket_choices = least_loaded(probes, self.bins.loads)
             else:
                 bucket_choices = choices[offset : offset + count]
                 offset += count

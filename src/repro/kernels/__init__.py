@@ -16,6 +16,7 @@ distributionally) equivalent to the legacy per-bucket path.
 from repro.kernels.round import (
     ResolvedRound,
     SerialRound,
+    least_loaded,
     positional_waits,
     resolve_capped_round,
     resolve_capped_round_serial,
@@ -25,6 +26,7 @@ from repro.kernels.round import (
 __all__ = [
     "ResolvedRound",
     "SerialRound",
+    "least_loaded",
     "positional_waits",
     "resolve_capped_round",
     "resolve_capped_round_serial",

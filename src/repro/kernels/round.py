@@ -62,6 +62,7 @@ from repro.telemetry.runtime import current as _telemetry_current
 __all__ = [
     "ResolvedRound",
     "SerialRound",
+    "least_loaded",
     "positional_waits",
     "resolve_capped_round",
     "resolve_capped_round_serial",
@@ -83,6 +84,20 @@ def wait_histogram(waits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     histogram = np.bincount(waits)
     values = np.flatnonzero(histogram)
     return values, histogram[values]
+
+
+def least_loaded(probes: np.ndarray, loads: np.ndarray) -> np.ndarray:
+    """Commit each ball to the least loaded of its probes.
+
+    ``probes`` holds one row of ``d`` sampled bins per ball; ``loads`` are
+    the loads the comparison reads (start of round, batch semantics). Ties
+    go to the first-sampled minimum. With ``d = 1`` the single column is
+    returned as is.
+    """
+    if probes.shape[1] == 1:
+        return probes[:, 0]
+    best = np.argmin(loads[probes], axis=1)
+    return probes[np.arange(len(probes)), best]
 
 
 def positional_waits(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, TextIO
 
+from repro.telemetry.registry import nearest_rank
+
 __all__ = ["ProgressReporter", "LiveStatusReporter", "TimingStats", "stream_is_tty"]
 
 
@@ -24,14 +26,6 @@ def stream_is_tty(stream: Any) -> bool:
         return bool(isatty())
     except (ValueError, OSError):  # closed or pseudo-file streams
         return False
-
-
-def _quantile(ordered: list[float], q: float) -> float:
-    """Nearest-rank quantile of an already-sorted sample."""
-    if not ordered:
-        return 0.0
-    rank = min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))
-    return ordered[rank]
 
 
 @dataclass
@@ -74,9 +68,9 @@ class TimingStats:
             lines.append(
                 f"  {group:10s} count={len(values)} total={sum(values):.2f}s "
                 f"mean={sum(values) / len(values):.2f}s "
-                f"p50={_quantile(values, 0.5):.2f}s "
-                f"p95={_quantile(values, 0.95):.2f}s "
-                f"p99={_quantile(values, 0.99):.2f}s max={values[-1]:.2f}s"
+                f"p50={nearest_rank(values, 0.5):.2f}s "
+                f"p95={nearest_rank(values, 0.95):.2f}s "
+                f"p99={nearest_rank(values, 0.99):.2f}s max={values[-1]:.2f}s"
             )
         return lines
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.engine.metrics import RoundRecord
 from repro.errors import ConfigurationError, InvariantViolation
+from repro.kernels.round import least_loaded
 from repro.rng import resolve_rng
 from repro.workloads.arrivals import ArrivalProcess, DeterministicArrivals
 
@@ -121,12 +122,7 @@ class GreedyBatchProcess:
         """
         if arrivals == 0:
             return _EMPTY
-        choices = self.rng.integers(0, self.n, size=(arrivals, self.d))
-        if self.d == 1:
-            return choices[:, 0]
-        chosen_loads = self.loads[choices]
-        best = np.argmin(chosen_loads, axis=1)  # first minimum wins ties
-        return choices[np.arange(arrivals), best]
+        return least_loaded(self.rng.integers(0, self.n, size=(arrivals, self.d)), self.loads)
 
     def step(self) -> RoundRecord:
         """Advance one round of batch GREEDY[d]."""

@@ -27,7 +27,7 @@ from repro.stats.occupancy import (
     miss_probability,
     expected_occupied_bins,
 )
-from repro.stats.streaming import Histogram, P2Quantile, RunningStats
+from repro.stats.streaming import Histogram, RunningStats
 from repro.stats.tail_bounds import (
     binomial_domination_tail,
     chernoff_2exp_bound,
@@ -41,7 +41,6 @@ __all__ = [
     "empty_bins_concentration",
     "binomial_domination_tail",
     "RunningStats",
-    "P2Quantile",
     "Histogram",
     "normal_ci",
     "bootstrap_ci",

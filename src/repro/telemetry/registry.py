@@ -39,6 +39,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "HISTOGRAM_QUANTILES",
+    "nearest_rank",
     "quantile_key",
 ]
 
@@ -48,6 +49,11 @@ _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 #: Quantiles reported by histogram snapshots and the Prometheus summary.
 #: Exact up to the reservoir size (4096 observations), nearest-rank after.
 HISTOGRAM_QUANTILES = (0.5, 0.95, 0.99)
+
+
+def nearest_rank(ordered: list[float], q: float) -> float:
+    """Nearest-rank quantile of a sorted, non-empty sample: rank ``ceil(q·n)``."""
+    return ordered[max(0, min(len(ordered) - 1, math.ceil(q * len(ordered)) - 1))]
 
 
 def quantile_key(q: float) -> str:
@@ -161,9 +167,7 @@ class _HistogramSeries:
         """Nearest-rank quantile over the (possibly sampled) observations."""
         if not self._reservoir:
             return math.nan
-        ordered = sorted(self._reservoir)
-        rank = max(0, min(len(ordered) - 1, math.ceil(q * len(ordered)) - 1))
-        return ordered[rank]
+        return nearest_rank(sorted(self._reservoir), q)
 
 
 class Histogram(_Family):

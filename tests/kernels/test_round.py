@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import positional_waits, resolve_capped_round, wait_histogram
+from repro.kernels import least_loaded, positional_waits, resolve_capped_round, wait_histogram
 from repro.kernels.round import _resolve_counting, _resolve_unit_take
 
 
@@ -163,3 +163,10 @@ def test_positional_waits_run_expansion():
     lengths = np.array([3, 1], dtype=np.int64)
     assert positional_waits(starts, lengths).tolist() == [5, 6, 7, 2]
     assert positional_waits(starts[:0], lengths[:0]).size == 0
+
+
+def test_least_loaded_takes_first_minimum():
+    loads = np.array([2, 0, 0, 1], dtype=np.int64)
+    probes = np.array([[0, 3], [3, 1], [2, 1], [0, 0]], dtype=np.int64)
+    assert least_loaded(probes, loads).tolist() == [3, 1, 2, 0]
+    assert least_loaded(probes[:, :1], loads).tolist() == [0, 3, 2, 0]

@@ -61,15 +61,18 @@ class TestTimingStats:
         assert sorted(stats.by_group) == ["capped n=128 r0", "capped n=64 r0"]
 
     def test_summary_lines_include_percentiles(self):
-        stats = TimingStats()
-        for i in range(1, 101):
-            stats.add(f"task{i}", float(i), group="capped")
-        lines = stats.summary_lines()
-        assert "tasks timed: 100" in lines[0]
-        (group_line,) = [line for line in lines if "capped" in line]
-        assert "p50=50.00s" in group_line
-        assert "p95=95.00s" in group_line
-        assert "max=100.00s" in group_line
+        # Nearest rank ceil(q·n), as the metrics registry reports: for
+        # 1..14 s, p95 is the 14th sample, not the 13th.
+        for count, p50, p95 in [(100, 50, 95), (14, 7, 14)]:
+            stats = TimingStats()
+            for i in range(1, count + 1):
+                stats.add(f"task{i}", float(i), group="capped")
+            lines = stats.summary_lines()
+            assert f"tasks timed: {count}" in lines[0]
+            (group_line,) = [line for line in lines if "capped" in line]
+            assert f"p50={p50:.2f}s" in group_line
+            assert f"p95={p95:.2f}s" in group_line
+            assert f"max={count:.2f}s" in group_line
 
     def test_summary_single_sample_group(self):
         stats = TimingStats()

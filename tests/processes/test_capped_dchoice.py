@@ -64,6 +64,19 @@ class TestDynamics:
         assert two.normalized_pool < one.normalized_pool
         assert two.avg_wait < one.avg_wait
 
+    def test_is_capped_process_on_its_own_stream(self):
+        from repro.core.capped import CappedProcess
+        from repro.rng import RngFactory
+
+        stream = RngFactory(6).generator("capped-dchoice")
+        plain = CappedProcess(n=64, capacity=2, lam=0.75, d=2, rng=stream)
+        dchoice = CappedDChoiceProcess(n=64, capacity=2, lam=0.75, rng=6)
+        for _ in range(30):
+            a, b = plain.step(), dchoice.step()
+            assert (a.pool_size, a.max_load) == (b.pool_size, b.max_load)
+            assert a.wait_values.tolist() == b.wait_values.tolist()
+            assert a.wait_counts.tolist() == b.wait_counts.tolist()
+
     def test_warm_start(self):
         process = CappedDChoiceProcess(n=64, capacity=2, lam=0.75, d=2, rng=5, initial_pool=40)
         assert process.pool_size == 40

@@ -139,6 +139,13 @@ class TestExperiments:
         assert code == 2
         assert "--jobs" in text
 
+    def test_timing_on_plain_serial_run(self):
+        code, text = run_cli(
+            "experiments", "--id", "dominance", "--profile", "quick", "--no-progress", "--timing"
+        )
+        assert code == 0
+        assert "tasks timed:" in text
+
     def test_resume_requires_cache_dir(self):
         code, text = run_cli("experiments", "--id", "dominance", "--profile", "quick", "--resume")
         assert code == 2
