@@ -53,7 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="measure one parameter point")
     sim.add_argument("--n", type=int, default=4096, help="number of bins")
-    sim.add_argument("--c", type=int, default=None, help="capacity (omit for infinite)")
+    sim.add_argument(
+        "--c", type=int, default=None, help="capacity (capped only; omit for infinite)"
+    )
     sim.add_argument("--lam", type=float, required=True, help="injection rate")
     sim.add_argument("--rounds", type=int, default=600, help="measured rounds")
     sim.add_argument("--burn-in", type=int, default=None, help="override burn-in")
@@ -504,6 +506,12 @@ def _cmd_simulate(args, out) -> int:
 
     if args.checkpoint_every is not None and args.checkpoint_dir is None:
         out.write("error: --checkpoint-every needs --checkpoint-dir\n")
+        return 2
+    if args.process == "greedy" and args.c is not None:
+        out.write("error: --c only applies to --process capped (GREEDY bins are unbounded)\n")
+        return 2
+    if args.process == "capped" and args.d != 1:
+        out.write("error: --d only applies to --process greedy\n")
         return 2
     if args.scenario is not None:
         if args.process != "capped":

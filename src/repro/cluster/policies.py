@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.cluster.server import Request, Server
 from repro.errors import ConfigurationError
+from repro.kernels.round import least_loaded
 
 __all__ = ["RoutingPolicy", "RandomPolicy", "LeastLoadedPolicy", "RoundRobinPolicy"]
 
@@ -71,13 +72,8 @@ class LeastLoadedPolicy:
         servers: Sequence[Server],
         rng: np.random.Generator,
     ) -> np.ndarray:
-        count = len(pending)
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
         loads = np.array([s.queue_length for s in servers], dtype=np.int64)
-        probes = rng.integers(0, len(servers), size=(count, self.d))
-        best = np.argmin(loads[probes], axis=1)
-        return probes[np.arange(count), best]
+        return least_loaded(rng.integers(0, len(servers), size=(len(pending), self.d)), loads)
 
 
 class RoundRobinPolicy:

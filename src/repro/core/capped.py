@@ -38,9 +38,10 @@ Two implementations are provided:
 
 ``d > 1`` gives every thrown ball ``d`` probes and sends it to the least
 loaded of them, judged on the loads at the start of the round (batch
-semantics, as in GREEDY[d]) — the capacity-vs-choices ablation of
-:mod:`repro.processes.capped_dchoice`. Acceptance and FIFO deletion are
-unchanged.
+semantics, as in GREEDY[d]). Acceptance and FIFO deletion are unchanged.
+With a finite capacity this is the capacity-vs-choices ablation of
+:mod:`repro.processes.capped_dchoice`; with ``capacity=None`` it is
+GREEDY[d] itself (:mod:`repro.processes.greedy`).
 """
 
 from __future__ import annotations
@@ -108,10 +109,10 @@ class CappedProcess:
         identical :class:`RoundRecord` sequences for the same seed.
     d:
         Probes per thrown ball; the ball commits to the least loaded probe
-        (start-of-round loads, ties to the first probe). ``d > 1`` needs a
-        finite ``capacity`` — with unbounded bins it is GREEDY[d]. Both
-        kernels draw the probes row-major, ``(thrown, d)`` in one block or
-        ``(count_b, d)`` per bucket, so they stay bit-identical.
+        (start-of-round loads, ties to the first probe). With
+        ``capacity=None`` this is GREEDY[d]. Both kernels draw the probes
+        row-major, ``(thrown, d)`` in one block or ``(count_b, d)`` per
+        bucket, so they stay bit-identical.
 
     Examples
     --------
@@ -140,8 +141,6 @@ class CappedProcess:
             raise ConfigurationError(f"need at least one bin, got n={n}")
         if d < 1:
             raise ConfigurationError(f"need at least one probe, got d={d}")
-        if d > 1 and capacity is None:
-            raise ConfigurationError(f"d={d} probes need a finite capacity")
         if initial_pool < 0:
             raise ConfigurationError(f"initial_pool must be non-negative, got {initial_pool}")
         if acceptance_order not in ("oldest", "youngest"):

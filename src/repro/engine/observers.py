@@ -113,7 +113,9 @@ class AgeProfiler:
     number of distinct age classes. The oldest pool age upper-bounds the
     pool-delay component of every future waiting time, so its trajectory
     visualises the Lemma 3–5 drain stages directly. Only meaningful for
-    processes exposing an ``pool`` attribute (CAPPED variants).
+    processes exposing a ``pool`` attribute (CAPPED variants); GREEDY[d]
+    is ``CappedProcess(capacity=None)``, whose pool is always empty, so it
+    records age 0 every round. Processes without a pool are skipped.
     """
 
     def __init__(self) -> None:

@@ -6,7 +6,8 @@ driver work uniformly:
 
 * :mod:`repro.processes.greedy` — batch-parallel GREEDY[d] with leaky bins
   (Berenbrink et al., PODC'16 / Algorithmica'18); the paper's primary
-  comparison target.
+  comparison target. It is CAPPED(∞, λ) with d probes, a ``CappedProcess``
+  subclass on its own RNG stream.
 * :mod:`repro.processes.threshold` — the static parallel THRESHOLD[T]
   protocol of Adler et al.
 * :mod:`repro.processes.sequential` — classical sequential one-choice and

@@ -31,11 +31,12 @@ __all__ = ["CappedDChoiceProcess"]
 class CappedDChoiceProcess(CappedProcess):
     """:class:`CappedProcess` with ``d = 2`` probes by default.
 
-    Takes every :class:`CappedProcess` option; ``capacity`` must be finite
-    (with unbounded bins this degenerates to GREEDY[d]).
+    Takes every :class:`CappedProcess` option. With ``capacity=None`` it
+    is GREEDY[d] (:class:`~repro.processes.greedy.GreedyBatchProcess`) on
+    this class's RNG stream.
     """
 
     rng_stream = "capped-dchoice"
 
-    def __init__(self, n: int, capacity: int, lam: float, d: int = 2, **kwargs) -> None:
+    def __init__(self, n: int, capacity: int | None, lam: float, d: int = 2, **kwargs) -> None:
         super().__init__(n, capacity, lam, d=d, **kwargs)

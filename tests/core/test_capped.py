@@ -20,12 +20,6 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             CappedProcess(n=10, capacity=1, lam=0.5, initial_pool=-1)
 
-    def test_probes_need_finite_capacity(self):
-        with pytest.raises(ConfigurationError):
-            CappedProcess(n=10, capacity=None, lam=0.5, d=2)
-        with pytest.raises(ConfigurationError):
-            CappedProcess(n=10, capacity=1, lam=0.5, d=0)
-
     def test_initial_pool_preloaded(self):
         process = CappedProcess(n=10, capacity=1, lam=0.5, initial_pool=7)
         assert process.pool_size == 7

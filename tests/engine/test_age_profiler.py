@@ -23,10 +23,10 @@ class TestAgeProfiler:
         assert profiler.peak_age < 50
 
     def test_ignores_processes_without_pool(self):
-        from repro.processes.greedy import GreedyBatchProcess
+        from repro.processes.becchetti import RepeatedBallsProcess
 
         profiler = AgeProfiler()
-        process = GreedyBatchProcess(n=32, d=1, lam=0.5, rng=2)
+        process = RepeatedBallsProcess(n=32, rng=2)
         SimulationDriver(burn_in=0, measure=10, observers=[profiler]).run(process)
         assert profiler.max_ages == []
         assert profiler.peak_age == 0

@@ -8,6 +8,8 @@ import pytest
 
 from repro.core.capped import CappedProcess
 from repro.core.modcapped import ModCappedProcess
+from repro.engine.driver import SimulationDriver
+from repro.errors import CheckpointIncompatible
 from repro.processes.greedy import GreedyBatchProcess
 
 
@@ -48,12 +50,15 @@ def test_snapshot_rewind_same_instance(name):
     assert trajectory(process, 20) == first
 
 
-def test_greedy_shape_mismatch_rejected():
-    small = GreedyBatchProcess(n=8, d=1, lam=0.5, rng=0)
-    small.step()
-    big = GreedyBatchProcess(n=16, d=1, lam=0.5, rng=0)
-    with pytest.raises(ValueError):
-        big.set_state(small.get_state())
+def test_greedy_shape_mismatch_rejected(tmp_path):
+    # CappedProcess.set_state adopts the snapshot's membership, so the
+    # driver's compatibility check is what refuses a resume at another n.
+    def driver():
+        return SimulationDriver(burn_in=0, measure=4, checkpoint_dir=tmp_path, checkpoint_every=2)
+
+    driver().run(GreedyBatchProcess(n=8, d=1, lam=0.5, rng=0))
+    with pytest.raises(CheckpointIncompatible, match="n "):
+        driver().run(GreedyBatchProcess(n=16, d=1, lam=0.5, rng=0))
 
 
 def test_modcapped_shape_mismatch_rejected():

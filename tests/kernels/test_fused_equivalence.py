@@ -61,6 +61,7 @@ CAPPED_CONFIGS = [
     dict(n=64, capacity=1, lam=0.9375),
     dict(n=64, capacity=4, lam=0.984375),
     dict(n=64, capacity=None, lam=0.96875),
+    dict(n=64, capacity=None, lam=0.96875, d=2),
     dict(n=64, capacity=2, lam=0.9375, acceptance_order="youngest"),
     dict(n=64, capacity=1, lam=0.9375, initial_pool=100),
 ]

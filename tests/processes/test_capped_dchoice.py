@@ -8,10 +8,6 @@ from repro.processes.capped_dchoice import CappedDChoiceProcess
 
 
 class TestConfiguration:
-    def test_rejects_unbounded_capacity(self):
-        with pytest.raises(ConfigurationError):
-            CappedDChoiceProcess(n=8, capacity=None, lam=0.5)  # type: ignore[arg-type]
-
     def test_rejects_zero_probes(self):
         with pytest.raises(ConfigurationError):
             CappedDChoiceProcess(n=8, capacity=1, lam=0.5, d=0)

@@ -5,26 +5,8 @@ import pytest
 
 from repro.engine.driver import SimulationDriver
 from repro.errors import ConfigurationError
-from repro.processes.greedy import GreedyBatchProcess, _ranks_within_groups
-
-
-class TestRanks:
-    def test_single_group(self):
-        ranks = _ranks_within_groups(np.array([2, 2, 2]))
-        assert ranks.tolist() == [0, 1, 2]
-
-    def test_interleaved_groups(self):
-        ranks = _ranks_within_groups(np.array([0, 1, 0, 1, 0]))
-        assert ranks.tolist() == [0, 0, 1, 1, 2]
-
-    def test_empty(self):
-        assert _ranks_within_groups(np.zeros(0, dtype=np.int64)).size == 0
-
-    def test_stable_order_within_group(self):
-        # Ball order is preserved within a bin (the batch tie-break).
-        groups = np.array([3, 1, 3, 3, 1])
-        ranks = _ranks_within_groups(groups)
-        assert ranks.tolist() == [0, 0, 1, 2, 1]
+from repro.kernels.round import least_loaded
+from repro.processes.greedy import GreedyBatchProcess
 
 
 class TestConfiguration:
@@ -71,16 +53,12 @@ class TestDynamics:
         assert two.max_wait < one.max_wait
 
     def test_d1_commit_is_uniform(self, rng):
-        process = GreedyBatchProcess(n=4, d=1, lam=0.75, rng=4)
-        counts = np.zeros(4)
-        for _ in range(500):
-            counts += np.bincount(process.commit_bins(3), minlength=4)
+        committed = least_loaded(rng.integers(0, 4, size=(1500, 1)), np.zeros(4, dtype=np.int64))
+        counts = np.bincount(committed, minlength=4)
         assert counts.min() > 0.7 * counts.max()
 
-    def test_commit_prefers_less_loaded(self):
-        process = GreedyBatchProcess(n=2, d=2, lam=0.5, rng=5)
-        process.loads[:] = [10, 0]
-        committed = process.commit_bins(100)
+    def test_commit_prefers_less_loaded(self, rng):
+        committed = least_loaded(rng.integers(0, 2, size=(100, 2)), np.array([10, 0]))
         # With d=2, a ball only lands in bin 0 if both probes hit bin 0.
         assert np.count_nonzero(committed == 1) > np.count_nonzero(committed == 0)
 
@@ -96,24 +74,37 @@ class TestDynamics:
             process.step()
         process.check_invariants()
 
+    def test_is_capped_process_on_its_own_stream(self):
+        from repro.core.capped import CappedProcess
+        from repro.rng import RngFactory
+
+        stream = RngFactory(6).generator("greedy")
+        plain = CappedProcess(n=64, capacity=None, lam=0.75, d=2, rng=stream)
+        greedy = GreedyBatchProcess(n=64, d=2, lam=0.75, rng=6)
+        for _ in range(30):
+            a, b = plain.step(), greedy.step()
+            assert (a.total_load, a.max_load) == (b.total_load, b.max_load)
+            assert a.wait_values.tolist() == b.wait_values.tolist()
+            assert a.wait_counts.tolist() == b.wait_counts.tolist()
+
 
 class TestWaitingTimeIdentity:
     def test_wait_equals_queue_position(self):
         # Deterministic single-bin check: positions accumulate across the
         # batch and drain one per round.
-        process = GreedyBatchProcess(n=1, d=1, lam=0.0, rng=8)
-        process.loads[0] = 2
-        record = process.step()
-        assert record.deleted == 1
-        process2 = GreedyBatchProcess(n=1, d=1, lam=0.0, rng=9)
-
-        # inject three balls manually via commit path
-        class ThreeArrivals:
+        class Batches:
             mean_rate = 0.0
 
             def arrivals(self, t, rng):
-                return 3 if t == 1 else 0
+                return {1: 3, 2: 2}.get(t, 0)
 
-        process2.arrivals = ThreeArrivals()
-        record = process2.step()
-        assert sorted(np.repeat(record.wait_values, record.wait_counts)) == [0, 1, 2]
+        process = GreedyBatchProcess(n=1, d=1, lam=0.0, rng=8, arrivals=Batches())
+        record = process.step()
+        assert np.repeat(record.wait_values, record.wait_counts).tolist() == [0, 1, 2]
+        assert (record.deleted, record.total_load) == (1, 2)
+        # Round 2's balls queue behind the two left over: positions 2 and 3.
+        record = process.step()
+        assert np.repeat(record.wait_values, record.wait_counts).tolist() == [2, 3]
+        assert (record.deleted, record.total_load) == (1, 3)
+        record = process.step()
+        assert (record.arrivals, record.deleted, record.total_load) == (0, 1, 2)

@@ -89,6 +89,8 @@ class TestSimulate:
             ["--rounds", "0"],
             ["--replicates", "0"],
             ["--checkpoint-every", "0"],
+            ["--process", "greedy"],
+            ["--d", "3"],
         ],
         ids=lambda bad: bad[0].lstrip("-"),
     )
