@@ -26,7 +26,10 @@ Ratios cannot see a fixed cost that every mode pays alike, so a baseline
 may also carry absolute ``ceilings``: ``{"section.field": limit}`` pairs
 that fail when the current value exceeds the limit, whatever the
 threshold. ``baseline_sweep.json`` caps ``fabric.ms_per_task_zero_dwell``
-(the broker round trip of a zero-work task) this way.
+(the broker round trip of a zero-work task) this way, and ``baseline.json``
+caps ``meanfield.ms_per_solve`` (one uncached mean-field solve) and
+``meanfield.misses`` (solves in a quick Figure 4/5 sweep; machine
+independent, one per distinct cell).
 
 A cell fails when ``current < THRESHOLD * baseline`` (default 0.85x,
 override with ``--threshold``). Refresh the baseline by copying a

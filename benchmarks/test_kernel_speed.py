@@ -10,6 +10,10 @@ Two measurements, both over the CAPPED(c, λ) grid the paper sweeps:
   the *same* injected choices on the *same* captured equilibrium state,
   so the comparison excludes the shared RNG draw and FIFO deletion and
   is deterministic up to timer noise. This is the ``>= 5x`` gate.
+* **Mean-field solver cost**: one uncached equilibrium solve, and how
+  many solves the quick Figure 4/5 (right) sweep makes (one per distinct
+  ``(c, λ)`` cell, since :func:`repro.core.meanfield.equilibrium` is
+  memoised). Every warm-started CAPPED point looks one up.
 
 Run with ``--bench-json BENCH_engine.json`` (see ``conftest.py``) to
 write the measured rows as a machine-readable artifact; CI uploads it on
@@ -222,3 +226,38 @@ def test_kernel_phase_speedup_flagship(benchmark, bench_json, profile_name):
     # contention, which hits the bandwidth-bound fused path hardest —
     # is what fails CI.
     assert speedup >= (2.5 if quick else 4.0)
+
+
+def test_meanfield_solver(bench_json):
+    """One uncached equilibrium solve, and the solves of a quick Fig. 4/5 sweep.
+
+    ``ms_per_solve`` is the median over the Figure 4 (right) cells (c = 1
+    and 3, λ = 1 − 2⁻ⁱ for i = 1..10). ``misses`` counts the solves that
+    ``fig4_right`` + ``fig5_right`` make at the quick profile: the memo
+    must turn their 80 lookups into one solve per distinct cell.
+    """
+    from repro.analysis.experiments import PROFILES, fig4_right, fig5_right
+
+    times = []
+    for c in (1, 3):
+        for exponent in range(1, 11):
+            start = time.perf_counter()
+            equilibrium.__wrapped__(c, 1.0 - 2.0**-exponent)
+            times.append(time.perf_counter() - start)
+    ms_per_solve = statistics.median(times) * 1e3
+
+    equilibrium.cache_clear()
+    results = [experiment(PROFILES["quick"]) for experiment in (fig4_right, fig5_right)]
+    info = equilibrium.cache_info()
+    cells = {(row["c"], row["lambda_exp"]) for result in results for row in result.rows}
+    print(
+        f"\nmean-field solver: {ms_per_solve:.2f} ms per solve, "
+        f"{info.misses} solves / {info.hits + info.misses} lookups over {len(cells)} cells"
+    )
+    bench_json["meanfield"] = {
+        "ms_per_solve": ms_per_solve,
+        "misses": info.misses,
+        "hits": info.hits,
+        "cells": len(cells),
+    }
+    assert info.misses == len(cells)

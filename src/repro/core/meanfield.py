@@ -25,12 +25,15 @@ and smooth reference curves for the experiment plots.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.stats.markov import stationary_distribution
 
 __all__ = [
     "poisson_pmf",
@@ -56,12 +59,12 @@ def poisson_pmf(rate: float, kmax: int) -> np.ndarray:
         raise ConfigurationError(f"rate must be non-negative, got {rate}")
     if kmax < 0:
         raise ConfigurationError(f"kmax must be non-negative, got {kmax}")
-    pmf = np.zeros(kmax + 1)
-    log_term = -rate  # log Pr[A = 0]
     log_rate = math.log(rate) if rate > 0 else -math.inf
-    for k in range(kmax + 1):
-        pmf[k] = math.exp(log_term)
-        log_term += log_rate - math.log(k + 1)
+    # log Pr[A = k] = −rate + Σ_{j=1..k} (log rate − log j): one cumulative sum.
+    log_terms = np.empty(kmax + 1)
+    log_terms[0] = -rate
+    log_terms[1:] = log_rate - np.log(np.arange(1, kmax + 1))
+    pmf = np.exp(np.cumsum(log_terms))
     pmf[kmax] += max(0.0, 1.0 - pmf.sum())
     return pmf
 
@@ -79,15 +82,31 @@ def bin_transition_matrix(intensity: float, c: int) -> np.ndarray:
     State = start-of-round load 0..c; a round applies
     ``L' = max(0, min(c, L + A) − 1)`` with ``A ~ Poisson(intensity)``.
     """
+    return _chain(intensity, c)[1]
+
+
+def _chain(intensity: float, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival pmf and one-round transition matrix of the single-bin chain."""
     if c < 1:
         raise ConfigurationError(f"capacity must be >= 1, got {c}")
     pmf = _arrival_pmf(intensity, c)
+    tail = np.cumsum(pmf[::-1])[::-1]  # tail[a] = Pr[A >= a]
     transition = np.zeros((c + 1, c + 1))
-    for load in range(c + 1):
-        for arrivals, probability in enumerate(pmf):
-            after = min(c, load + arrivals)
-            transition[load, max(0, after - 1)] += probability
-    return transition
+    # An empty bin moves to max(0, a − 1): arrivals 0 and 1 both leave it empty.
+    transition[0, 0] = pmf[0]
+    transition[0, : c - 1] += pmf[1:c]
+    transition[0, c - 1] += tail[c]
+    # A loaded bin moves to load + a − 1 while a < c − load, else to c − 1.
+    for load in range(1, c + 1):
+        transition[load, load - 1 : c - 1] = pmf[: c - load]
+        transition[load, c - 1] += tail[c - load]
+    return pmf, transition
+
+
+def _accepted_per_load(pmf: np.ndarray, c: int) -> np.ndarray:
+    """``E[min(A, c − load)]`` for every start-of-round load 0..c."""
+    room = c - np.arange(c + 1)[:, None]
+    return (np.minimum(np.arange(len(pmf)), room) * pmf).sum(axis=1)
 
 
 def stationary_loads(intensity: float, c: int) -> np.ndarray:
@@ -106,8 +125,6 @@ def stationary_loads(intensity: float, c: int) -> np.ndarray:
         Probability vector over loads 0..c (exact linear solve via
         :func:`repro.stats.markov.stationary_distribution`).
     """
-    from repro.stats.markov import stationary_distribution
-
     return stationary_distribution(bin_transition_matrix(intensity, c))
 
 
@@ -117,13 +134,8 @@ def accept_rate(intensity: float, c: int) -> float:
     Equals ``E[min(A, c − L)]`` under the stationary load distribution;
     the equilibrium condition is ``accept_rate(ν*/n, c) = λ``.
     """
-    dist = stationary_loads(intensity, c)
-    pmf = _arrival_pmf(intensity, c)
-    arrivals = np.arange(len(pmf))
-    total = 0.0
-    for load in range(c + 1):
-        total += dist[load] * float((pmf * np.minimum(arrivals, c - load)).sum())
-    return total
+    pmf, transition = _chain(intensity, c)
+    return float(stationary_distribution(transition) @ _accepted_per_load(pmf, c))
 
 
 def equilibrium_throw_intensity(c: int, lam: float, tol: float = 1e-10) -> float:
@@ -140,11 +152,16 @@ def equilibrium_throw_intensity(c: int, lam: float, tol: float = 1e-10) -> float
         raise ConfigurationError(f"capacity must be >= 1, got {c}")
     if lam == 0.0:
         return 0.0
+    return _bisect_intensity(lambda intensity: accept_rate(intensity, c), lam, c, tol)
+
+
+def _bisect_intensity(rate: Callable[[float], float], lam: float, c_max: int, tol: float) -> float:
+    """Bisect ``rate(ν/n) = λ`` for an increasing ``rate`` on [λ, ln(1/(1−λ)) + c_max + 2]."""
     low = lam
-    high = math.log(1.0 / (1.0 - lam)) + c + 2.0
+    high = math.log(1.0 / (1.0 - lam)) + c_max + 2.0
     for _ in range(200):
         mid = (low + high) / 2
-        if accept_rate(mid, c) > lam:
+        if rate(mid) > lam:
             high = mid
         else:
             low = mid
@@ -235,23 +252,19 @@ def mixture_equilibrium_pool(
             share * accept_rate(intensity, c) for c, share in capacity_shares.items() if share > 0
         )
 
-    low = lam
-    high = math.log(1.0 / (1.0 - lam)) + max(capacity_shares) + 2.0
-    for _ in range(200):
-        mid = (low + high) / 2
-        if mixture_rate(mid) > lam:
-            high = mid
-        else:
-            low = mid
-        if high - low < tol:
-            break
-    return max(0.0, (low + high) / 2 - lam)
+    return max(0.0, _bisect_intensity(mixture_rate, lam, max(capacity_shares), tol) - lam)
 
 
+@functools.lru_cache(maxsize=None)
 def equilibrium(c: int, lam: float) -> MeanFieldEquilibrium:
-    """Compute the full mean-field equilibrium for CAPPED(c, λ)."""
+    """Compute the full mean-field equilibrium for CAPPED(c, λ).
+
+    Memoised per process: each ``(c, lam)`` is solved once, and the shared
+    result's ``load_distribution`` is read-only.
+    """
     intensity = equilibrium_throw_intensity(c, lam)
     dist = stationary_loads(intensity, c)
+    dist.flags.writeable = False
     mean_load = float(np.arange(c + 1) @ dist)
     normalized_pool = max(0.0, intensity - lam)
     # Little's law: time-average balls in system / throughput. A ball of

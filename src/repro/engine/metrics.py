@@ -139,7 +139,7 @@ class MetricsCollector:
         self.total_deleted += record.deleted
         if len(record.wait_values):
             self.wait_histogram.add_array(record.wait_values, record.wait_counts)
-            for value, count in zip(record.wait_values, record.wait_counts):
+            for value, count in zip(record.wait_values.tolist(), record.wait_counts.tolist()):
                 self.wait_stats.add(float(value), float(count))
         if self.keep_pool_series:
             self._pool_series.append(record.pool_size)

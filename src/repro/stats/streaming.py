@@ -190,10 +190,12 @@ class Histogram:
         """Bulk-record ``counts[i]`` observations of ``values[i]``."""
         if len(values) == 0:
             return
-        if np.any(values < 0) or np.any(counts < 0):
+        if values.min() < 0 or counts.min() < 0:
             raise ValueError("values and counts must be non-negative")
         self._grow_to(int(values.max()))
-        np.add.at(self._counts, values.astype(np.int64), counts.astype(np.int64))
+        values = values.astype(np.int64, copy=False)
+        counts = counts.astype(np.int64, copy=False)
+        np.add.at(self._counts, values, counts)  # unlike fancy +=, repeated values accumulate
         self._total += int(counts.sum())
 
     def counts(self) -> np.ndarray:

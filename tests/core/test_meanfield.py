@@ -1,18 +1,105 @@
 """Unit tests for the mean-field equilibrium solver."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from repro.core.meanfield import (
+    _arrival_pmf,
     accept_rate,
+    bin_transition_matrix,
     equilibrium,
     equilibrium_throw_intensity,
     poisson_pmf,
     stationary_loads,
 )
 from repro.errors import ConfigurationError
+from repro.stats.markov import stationary_distribution
+
+# ---------------------------------------------------------------------------
+# Scalar oracle: the chain built one term at a time with Python loops, the
+# way the solver computed it before it was vectorised.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_pmf(rate, kmax):
+    pmf = np.zeros(kmax + 1)
+    log_term = -rate
+    log_rate = math.log(rate) if rate > 0 else -math.inf
+    for k in range(kmax + 1):
+        pmf[k] = math.exp(log_term)
+        log_term += log_rate - math.log(k + 1)
+    pmf[kmax] += max(0.0, 1.0 - pmf.sum())
+    return pmf
+
+
+def _oracle_transition(pmf, c):
+    transition = np.zeros((c + 1, c + 1))
+    for load in range(c + 1):
+        for arrivals, probability in enumerate(pmf):
+            after = min(c, load + arrivals)
+            transition[load, max(0, after - 1)] += probability
+    return transition
+
+
+def _oracle_accept_rate(intensity, c):
+    pmf = _oracle_pmf(intensity, len(_arrival_pmf(intensity, c)) - 1)
+    dist = stationary_distribution(_oracle_transition(pmf, c))
+    arrivals = np.arange(len(pmf))
+    total = 0.0
+    for load in range(c + 1):
+        total += dist[load] * float((pmf * np.minimum(arrivals, c - load)).sum())
+    return total
+
+
+@functools.cache
+def _oracle_intensity(c, lam, tol=1e-10):
+    low, high = lam, math.log(1.0 / (1.0 - lam)) + c + 2.0
+    for _ in range(200):
+        mid = (low + high) / 2
+        if _oracle_accept_rate(mid, c) > lam:
+            high = mid
+        else:
+            low = mid
+        if high - low < tol:
+            break
+    return (low + high) / 2
+
+
+GRID_LAMBDAS = [1.0 - 2.0**-k for k in range(1, 16)]
+GRID_CAPACITIES = range(1, 17)
+
+
+@pytest.mark.parametrize("c", GRID_CAPACITIES)
+class TestVectorisedChainMatchesOracle:
+    def test_chain_functions(self, c):
+        for lam in GRID_LAMBDAS:
+            for intensity in (lam, math.log(1.0 / (1.0 - lam)), math.log(1.0 / (1.0 - lam)) + c):
+                kmax = len(_arrival_pmf(intensity, c)) - 1
+                oracle_pmf = _oracle_pmf(intensity, kmax)
+                np.testing.assert_allclose(poisson_pmf(intensity, kmax), oracle_pmf, atol=1e-12)
+                np.testing.assert_allclose(
+                    bin_transition_matrix(intensity, c),
+                    _oracle_transition(oracle_pmf, c),
+                    atol=1e-12,
+                )
+                assert accept_rate(intensity, c) == pytest.approx(
+                    _oracle_accept_rate(intensity, c), abs=1e-12
+                )
+
+    def test_throw_intensity(self, c):
+        for lam in GRID_LAMBDAS:
+            assert equilibrium_throw_intensity(c, lam) == pytest.approx(
+                _oracle_intensity(c, lam), abs=1e-9
+            )
+
+    def test_warm_start_pool_sizes_unchanged(self, c):
+        for lam in GRID_LAMBDAS:
+            oracle_pool = max(0.0, _oracle_intensity(c, lam) - lam)
+            for n in (2**7, 2**10, 2**15):
+                assert equilibrium(c, lam).pool_size(n) == max(0, int(round(oracle_pool * n)))
 
 
 class TestPoissonPmf:
@@ -125,3 +212,21 @@ class TestEquilibrium:
         predicted = equilibrium(c, lam).mean_wait
         point = measure_capped(n=2048, c=c, lam=lam, measure=300, seed=2)
         assert point.avg_wait == pytest.approx(predicted, rel=0.1)
+
+
+class TestMemo:
+    def test_repeat_call_returns_same_object(self):
+        assert equilibrium(3, 0.875) is equilibrium(3, 0.875)
+
+    def test_load_distribution_is_read_only(self):
+        dist = equilibrium(2, 0.75).load_distribution
+        assert not dist.flags.writeable
+        with pytest.raises(ValueError):
+            dist[0] = 1.0
+
+    def test_invalid_input_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                equilibrium(0, 0.5)
+            with pytest.raises(ConfigurationError):
+                equilibrium(2, 1.0)

@@ -109,6 +109,28 @@ class TestHistogram:
         hist.add_array(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         assert hist.total == 0
 
+    @pytest.mark.parametrize(
+        ("values", "counts"), [([0, -1, 2], [1, 1, 1]), ([0, 1, 2], [1, -1, 1])]
+    )
+    def test_add_array_rejects_negatives(self, values, counts):
+        hist = Histogram()
+        with pytest.raises(ValueError):
+            hist.add_array(np.array(values), np.array(counts))
+        assert hist.total == 0
+
+    def test_add_array_int32_input(self):
+        hist = Histogram()
+        hist.add_array(np.array([1, 3], dtype=np.int32), np.array([2, 4], dtype=np.int32))
+        assert hist.total == 6
+        assert hist.counts().tolist() == [0, 2, 0, 4]
+
+    def test_add_array_repeated_values_accumulate(self):
+        hist = Histogram()
+        hist.add_array(np.array([2, 2, 2], dtype=np.int64), np.array([1, 2, 3], dtype=np.int64))
+        hist.add_array(np.array([2]), np.array([4]))
+        assert hist.counts().tolist() == [0, 0, 10]
+        assert hist.total == 10
+
     def test_quantiles_exact(self):
         hist = Histogram()
         for value in [0, 0, 1, 2, 2, 2, 3, 10]:

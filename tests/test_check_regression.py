@@ -180,6 +180,14 @@ class TestCeilings:
         committed = json.loads((SCRIPT.parent / "baseline_sweep.json").read_text())
         assert committed["ceilings"]["fabric.ms_per_task_zero_dwell"] <= 5.0
 
+    def test_committed_engine_baseline_caps_meanfield_solves(self):
+        import json
+
+        committed = json.loads((SCRIPT.parent / "baseline.json").read_text())
+        # Quick fig4_right + fig5_right share 20 cells: c in {1, 3} x 10 lambdas.
+        assert committed["ceilings"]["meanfield.misses"] == 20
+        assert committed["ceilings"]["meanfield.ms_per_solve"] > 0
+
 
 class TestCollectChecks:
     def test_ratio_records(self):
