@@ -7,8 +7,10 @@ the *same* run of the *same* machine — so a slower CI runner does not
 trip the gate, but a genuinely slower kernel does:
 
 * every ``grid`` cell's ``fused_over_legacy`` ratio,
-* the flagship ``kernel_phase.speedup`` (acceptance phase only), and
-* the whole-round ``general_c.speedup`` at the c=4 cell.
+* the flagship ``kernel_phase.speedup`` (acceptance phase only),
+* the whole-round ``general_c.speedup`` at the c=4 cell, and
+* ``choices.speedup``, the word-wise bin-choice fill over the
+  ``Generator.integers`` call it replaces (n = 2^15).
 
 The same script also gates the distributed-sweep artifact
 (``BENCH_sweep.json`` vs ``benchmarks/baseline_sweep.json``, selected
@@ -27,9 +29,10 @@ may also carry absolute ``ceilings``: ``{"section.field": limit}`` pairs
 that fail when the current value exceeds the limit, whatever the
 threshold. ``baseline_sweep.json`` caps ``fabric.ms_per_task_zero_dwell``
 (the broker round trip of a zero-work task) this way, and ``baseline.json``
-caps ``meanfield.ms_per_solve`` (one uncached mean-field solve) and
+caps ``meanfield.ms_per_solve`` (one uncached mean-field solve),
 ``meanfield.misses`` (solves in a quick Figure 4/5 sweep; machine
-independent, one per distinct cell).
+independent, one per distinct cell) and ``choices.ns_per_draw_raw``
+(one bin choice from the prefetch fill).
 
 A cell fails when ``current < THRESHOLD * baseline`` (default 0.85x,
 override with ``--threshold``). Refresh the baseline by copying a
@@ -109,7 +112,11 @@ def collect_checks(baseline: dict, current: dict) -> list[dict]:
                 }
             )
 
-    for section, field in (("kernel_phase", "speedup"), ("general_c", "speedup")):
+    for section, field in (
+        ("kernel_phase", "speedup"),
+        ("general_c", "speedup"),
+        ("choices", "speedup"),
+    ):
         base_sec = baseline.get(section)
         cur_sec = current.get(section)
         if not base_sec:

@@ -46,6 +46,7 @@ GREEDY[d] itself (:mod:`repro.processes.greedy`).
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 
 import numpy as np
@@ -67,9 +68,59 @@ from repro.rng import resolve_rng
 from repro.telemetry.runtime import PhaseClock, current as _telemetry_current
 from repro.workloads.arrivals import ArrivalProcess, DeterministicArrivals
 
-__all__ = ["CappedProcess", "ExactCappedSimulator"]
+__all__ = ["CappedProcess", "ExactCappedSimulator", "draw_bins"]
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+
+# Draws per raw-fill chunk: 2^14 PCG64 words, 128 KiB of scratch that
+# stays in L2 while it is shifted into the int64 block.
+_RAW_CHUNK = 1 << 15
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def draw_bins(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """Exactly ``rng.integers(0, n, size=size)``, read word-wise when that is exact.
+
+    NumPy draws an int64 with range ``n <= 2^32`` by Lemire's method on
+    32-bit words. For ``n = 2^k`` the rejection threshold ``2^32 mod n``
+    is 0, so nothing is ever rejected and each draw is the top ``k`` bits
+    of its word. PCG64 splits every 64-bit output into two such words,
+    low half first. So ``size`` draws are ``random_raw(size / 2)`` viewed
+    as uint32 and shifted right by ``32 − k``: the same values, and the
+    generator is left in the same state. The shift runs chunk by chunk
+    into the result, so no full-size temporary is built.
+
+    Everything else goes through ``rng.integers`` unchanged: ``n`` not a
+    power of two (or 1, which draws nothing), an odd ``size`` (it would
+    leave half a word in the carry), a bit generator other than PCG64, a
+    PCG64 whose ``has_uint32`` carry is already set (its next word is the
+    carried high half), and a big-endian host.
+    """
+    if (
+        n < 2
+        or n & (n - 1)
+        or n > 1 << 32
+        or size & 1
+        or not _LITTLE_ENDIAN
+        or type(rng.bit_generator) is not np.random.PCG64
+        or rng.bit_generator.state["has_uint32"]
+    ):
+        return rng.integers(0, n, size=size)
+    shift = np.uint32(33 - n.bit_length())
+    bit_generator = rng.bit_generator
+    out = np.empty(size, dtype=np.int64)
+    for start in range(0, size, _RAW_CHUNK):
+        stop = min(start + _RAW_CHUNK, size)
+        words = bit_generator.random_raw((stop - start) >> 1)
+        out[start:stop] = words.view(np.uint32) >> shift
+    if size:
+        # ``integers`` also leaves the last word's high half in the
+        # (unflagged) carry slot. Copy it, so the whole state matches and
+        # checkpoints serialise the same bytes.
+        after = bit_generator.state
+        after["uinteger"] = int(words[-1]) >> 32
+        bit_generator.state = after
+    return out
 
 
 class CappedProcess:
@@ -314,11 +365,12 @@ class CappedProcess:
 
         Returns a view into the current block when it has enough words
         left; otherwise drains the remainder, generates a fresh block
-        (sized to cover several rounds), and stitches the two. The
-        generator state captured just before each block draw, together
-        with the in-block offset, is what :meth:`get_state` snapshots —
-        a restore regenerates the block and resumes mid-buffer
-        bit-identically.
+        (sized to cover several rounds), and stitches the two. Blocks come
+        from :func:`draw_bins`, so they hold exactly the words
+        ``rng.integers`` would draw. The generator state captured just
+        before each block draw, together with the in-block offset, is what
+        :meth:`get_state` snapshots — a restore regenerates the block and
+        resumes mid-buffer bit-identically.
         """
         if not self._buffer_draws:
             return self.rng.integers(0, self.n, size=count)
@@ -335,7 +387,7 @@ class CappedProcess:
         # megabytes of unspent randomness.
         block = max(min(max(4 * count, 1 << 14), 1 << 21), need)
         self._choice_base = self.rng.bit_generator.state
-        fresh = self.rng.integers(0, self.n, size=block)
+        fresh = draw_bins(self.rng, self.n, block)
         self._choice_buf = fresh
         self._choice_pos = need
         if leftover is not None:
@@ -534,7 +586,7 @@ class CappedProcess:
         block = int(state.get("choice_block", 0))
         if block:
             self._choice_base = self.rng.bit_generator.state
-            self._choice_buf = self.rng.integers(0, self.n, size=block)
+            self._choice_buf = draw_bins(self.rng, self.n, block)
             self._choice_pos = int(state["choice_pos"])
         else:
             self._choice_buf = None

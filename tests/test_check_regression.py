@@ -24,11 +24,12 @@ def grid_row(n, c, lam, ratio):
     return {"n": n, "c": c, "lam": lam, "fused_over_legacy": ratio}
 
 
-def artifact(rows, kernel_speedup=3.0):
+def artifact(rows, kernel_speedup=3.0, choice_speedup=2.0):
     return {
         "grid": rows,
         "kernel_phase": {"speedup": kernel_speedup},
         "general_c": {"speedup": kernel_speedup},
+        "choices": {"speedup": choice_speedup},
     }
 
 
@@ -97,6 +98,16 @@ class TestExitStatus:
     def test_baseline_predating_section_is_tolerated(self, tmp_path):
         baseline = {"grid": BASE_ROWS}
         assert run(tmp_path, baseline, artifact(BASE_ROWS)) == 0
+
+    def test_choice_draw_regression_fails(self, tmp_path):
+        # The word-wise fill falling back to ``integers`` reads ~1x.
+        slower = artifact(BASE_ROWS, choice_speedup=1.0)
+        assert run(tmp_path, artifact(BASE_ROWS), slower) == 1
+
+    def test_choice_section_missing_from_current_is_error(self, tmp_path):
+        current = artifact(BASE_ROWS)
+        del current["choices"]
+        assert run(tmp_path, artifact(BASE_ROWS), current) == 2
 
 
 def sweep_artifact(speedup_2w=2.0, speedup_4w=4.0):
@@ -187,6 +198,13 @@ class TestCeilings:
         # Quick fig4_right + fig5_right share 20 cells: c in {1, 3} x 10 lambdas.
         assert committed["ceilings"]["meanfield.misses"] == 20
         assert committed["ceilings"]["meanfield.ms_per_solve"] > 0
+
+    def test_committed_engine_baseline_gates_choice_draws(self):
+        import json
+
+        committed = json.loads((SCRIPT.parent / "baseline.json").read_text())
+        assert committed["choices"]["speedup"] > 1.0
+        assert committed["ceilings"]["choices.ns_per_draw_raw"] > 0
 
 
 class TestCollectChecks:
